@@ -766,8 +766,8 @@ def _run_compile(args: argparse.Namespace) -> int:
 def render_profile_table(manifest: Dict[str, object]) -> str:
     """Stage-by-stage timing table from a pipeline provenance manifest.
 
-    The per-stage wall times are the pipeline's existing telemetry (recorded
-    on every run); this renders them as the ``compile --profile`` report.
+    The per-stage wall times are the ones every pipeline run records in its
+    provenance manifest; this renders them as the ``compile --profile`` report.
     """
     records = list(manifest["stages"])
     total = sum(float(record["seconds"]) for record in records) or 1.0

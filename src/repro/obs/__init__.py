@@ -7,8 +7,9 @@ The observability substrate every layer of the compiler reports through:
   op-counter deltas per span, deterministic clock mode for CI pinning);
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` core
   (counters/gauges and fixed log-bucketed quantile histograms with label
-  dimensions) that the legacy ``TELEMETRY`` and ``OP_COUNTERS`` registries
-  are now views over, plus JSON dump/restore for cross-process snapshots;
+  dimensions) that pipeline stage telemetry is recorded in and that
+  ``OP_COUNTERS`` is a view over, plus JSON dump/restore for cross-process
+  snapshots;
 * :mod:`repro.obs.resources` — per-span RSS/CPU-time deltas and optional
   tracemalloc peaks (``--trace-resources`` / ``--trace-malloc``);
 * :mod:`repro.obs.events` — append-only JSONL run journal (manifest, stage

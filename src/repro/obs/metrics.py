@@ -1,11 +1,10 @@
 """Unified metrics core: counters, gauges and quantile histograms with labels.
 
-Before this module existed the repo had two disjoint counter registries —
-:class:`repro.pipeline.telemetry.TelemetryRegistry` (per-stage wall time and
-cache hits) and :class:`repro.utils.counters.OpCounters` (deterministic
-hot-path op counts) — each with its own lock, snapshot and reset
-boilerplate.  Both are now thin compatibility views over one
-:class:`MetricsRegistry`:
+One :class:`MetricsRegistry` holds every counter the compiler reports: the
+pipeline records per-stage executions, cache hits and wall time into it
+directly (``pipeline.stage.*{stage=...}``), and
+:class:`repro.utils.counters.OpCounters` (deterministic hot-path op counts)
+is a namespaced view over it.  The registry offers:
 
 * **counters** — monotonically increasing integers (``inc``);
 * **gauges** — last-written floats (``set_gauge``);
@@ -20,10 +19,10 @@ series — the convention used by Prometheus-style metric systems.  Metric
 names are dot-separated, namespaced by subsystem (``ops.*`` for the compile
 hot path, ``pipeline.*`` for stage telemetry, ``sweep.*`` for the sweep
 health monitor), and :meth:`MetricsRegistry.reset` accepts a prefix so one
-view can reset its namespace without clobbering the others.
+namespace can be reset without clobbering the others.
 
-The registry is per process, mirroring the registries it replaced: sweep
-workers own a private copy and ship deltas back through their point records.
+The registry is per process: sweep workers own a private copy and ship
+deltas back through their point records.
 :meth:`MetricsRegistry.dump` serialises the full registry (histogram buckets
 included) so a metrics snapshot can cross a process boundary as JSON —
 ``repro metrics export`` renders such a snapshot as Prometheus text and
@@ -289,8 +288,9 @@ class Histogram:
 class MetricsRegistry:
     """Thread-safe labelled counters/gauges/histograms behind one lock.
 
-    This is the shared core the legacy registries delegate to; their
-    snapshot/reset/locking boilerplate lives here exactly once.
+    The pipeline's stage telemetry lands here directly and
+    :class:`~repro.utils.counters.OpCounters` delegates to it, so the
+    snapshot/reset/locking machinery lives here exactly once.
     """
 
     def __init__(self) -> None:
@@ -484,9 +484,9 @@ class MetricsRegistry:
     def reset(self, prefix: str = "") -> None:
         """Drop every series whose metric name starts with ``prefix``.
 
-        An empty prefix clears the whole registry; the compatibility views
-        pass their namespace so resetting op counters leaves stage telemetry
-        (and vice versa) untouched.
+        An empty prefix clears the whole registry; a namespace prefix
+        (``ops.``, ``pipeline.stage.``) resets op counters without touching
+        stage telemetry, and vice versa.
         """
         with self._lock:
             for table in (self._counters, self._gauges, self._histograms):
@@ -528,6 +528,6 @@ def registry_from_dump(doc: Mapping[str, object]) -> MetricsRegistry:
     return registry
 
 
-#: Process-global metrics registry; the compatibility views
-#: (``TELEMETRY``, ``OP_COUNTERS``) and the tracer all report here.
+#: Process-global metrics registry; the pipeline, ``OP_COUNTERS`` and the
+#: tracer all report here.
 METRICS = MetricsRegistry()

@@ -13,11 +13,11 @@ adaptive partitioner trades against balance.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Dict, Mapping
 
 import networkx as nx
 
-__all__ = ["modularity", "modularity_of_communities"]
+__all__ = ["modularity"]
 
 
 def modularity(
@@ -46,14 +46,3 @@ def modularity(
         e_c = internal.get(part, 0.0)
         total += e_c / total_weight - (degrees / two_m) ** 2
     return total
-
-
-def modularity_of_communities(
-    graph: nx.Graph, communities: Sequence[Iterable[int]]
-) -> float:
-    """Modularity of a partition given as a list of node groups."""
-    assignment: Dict[int, int] = {}
-    for index, community in enumerate(communities):
-        for node in community:
-            assignment[node] = index
-    return modularity(graph, assignment)

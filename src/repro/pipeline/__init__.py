@@ -9,7 +9,8 @@ subsystem makes the stages explicit and memoises their artifacts:
 * :mod:`repro.pipeline.stage` — the declarative :class:`Stage` abstraction
   (inputs/outputs, parameters, versioned cache keys);
 * :mod:`repro.pipeline.pipeline` — the :class:`Pipeline` pass-manager:
-  cache short-circuiting, per-run provenance manifests, telemetry;
+  cache short-circuiting, per-run provenance manifests, per-stage
+  telemetry in the metrics registry, and the bounded :class:`LRUCache`;
 * :mod:`repro.pipeline.artifacts` — the on-disk content-addressed
   :class:`ArtifactStore` (``DCMBQC_ARTIFACT_CACHE_DIR``, size-bounded LRU);
 * :mod:`repro.pipeline.stages` — concrete stages wrapping the existing
@@ -45,11 +46,11 @@ from repro.pipeline.hashing import (
     pattern_hash,
 )
 from repro.pipeline.pipeline import (
+    LRUCache,
     Pipeline,
     PipelineRun,
     StageRecord,
     clear_memory_cache,
-    memory_cache,
 )
 from repro.pipeline.service import BatchCompileReport, CompileService
 from repro.pipeline.stage import Stage
@@ -62,7 +63,6 @@ from repro.pipeline.stages import (
     single_qpu_stages,
     translate_stage,
 )
-from repro.pipeline.telemetry import TELEMETRY, StageCounters, TelemetryRegistry
 
 __all__ = [
     "ArtifactStore",
@@ -72,13 +72,11 @@ __all__ = [
     "CACHE_LIMIT_ENV",
     "caching_disabled",
     "CompileService",
+    "LRUCache",
     "Pipeline",
     "PipelineRun",
     "Stage",
-    "StageCounters",
     "StageRecord",
-    "TELEMETRY",
-    "TelemetryRegistry",
     "circuit_hash",
     "clear_memory_cache",
     "compgraph_stage",
@@ -89,7 +87,6 @@ __all__ = [
     "grid_mapping_stage",
     "hash_parts",
     "initial_program_state",
-    "memory_cache",
     "partition_hash",
     "pattern_hash",
     "resolve_store",

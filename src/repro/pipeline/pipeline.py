@@ -15,8 +15,11 @@ staged compiler run.  For every stage it:
 Every run returns a :class:`PipelineRun` carrying the final artifact state
 and a provenance manifest — one :class:`StageRecord` per stage saying
 whether it executed, hit a cache layer, or was satisfied by a provided
-input, plus the key and timing.  Telemetry accumulates per stage name in
-:data:`repro.pipeline.telemetry.TELEMETRY`.
+input, plus the key and timing.  Per-stage telemetry accumulates in the metrics
+registry (:data:`repro.obs.metrics.METRICS` by default) as labelled series:
+``pipeline.stage.executions``, ``pipeline.stage.memory_hits`` and
+``pipeline.stage.disk_hits`` counters plus the ``pipeline.stage.seconds``
+histogram of execution wall time, each with a ``stage`` label.
 
 Entry points may start mid-pipeline: a stage whose output is already
 present in the initial state is recorded as ``provided`` and skipped, which
@@ -26,30 +29,31 @@ same stage list as ``compile(circuit)``.
 
 from __future__ import annotations
 
-import os
 import pickle
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
 
 from repro.obs.events import EVENTS
+from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.pipeline.artifacts import ArtifactStore, caching_disabled
 from repro.pipeline.hashing import content_hash
 from repro.pipeline.stage import Stage
-from repro.pipeline.telemetry import TELEMETRY, TelemetryRegistry
 from repro.utils.errors import CompilationError
 
 __all__ = [
+    "LRUCache",
     "Pipeline",
     "PipelineRun",
     "StageRecord",
-    "memory_cache",
     "clear_memory_cache",
 ]
 
-MEMORY_CACHE_SIZE_ENV = "DCMBQC_PIPELINE_MEMORY_CACHE_SIZE"
-DEFAULT_MEMORY_CACHE_SIZE = 128
+#: Entry bound of the process-global stage memo.
+MEMORY_CACHE_SIZE = 128
 
 #: Artifacts whose pickled snapshot exceeds this many bytes skip the
 #: in-process memo (they remain disk-cached): the memo is bounded by entry
@@ -57,34 +61,76 @@ DEFAULT_MEMORY_CACHE_SIZE = 128
 #: otherwise dominate worker memory.
 MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
 
+#: Metric-name prefix of the per-stage telemetry series.
+STAGE_METRICS = "pipeline.stage."
+
 _MISSING = object()
 
-_memory_cache = None
+V = TypeVar("V")
 
 
-def memory_cache():
-    """The process-global stage memo cache (bounded LRU), created lazily.
+class LRUCache:
+    """A thread-safe mapping bounded to ``maxsize`` least-recently-used entries."""
 
-    Reuses :class:`repro.sweep.cache.LRUCache`; the bound comes from
-    ``DCMBQC_PIPELINE_MEMORY_CACHE_SIZE`` (default 128 artifacts).
-    """
-    global _memory_cache
-    if _memory_cache is None:
-        from repro.sweep.cache import LRUCache  # deferred: avoids import cycle
+    def __init__(self, maxsize: int) -> None:
+        if maxsize < 1:
+            raise ValueError("maxsize must be at least 1")
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
 
-        raw = os.environ.get(MEMORY_CACHE_SIZE_ENV, "")
-        try:
-            size = max(1, int(raw))
-        except ValueError:
-            size = DEFAULT_MEMORY_CACHE_SIZE
-        _memory_cache = LRUCache(maxsize=size)
-    return _memory_cache
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
+
+    def get(self, key: Hashable, default: Optional[V] = None):
+        """Return the cached value (marking it recently used) or ``default``."""
+        with self._lock:
+            if key not in self._entries:
+                return default
+            self._entries.move_to_end(key)
+            return self._entries[key]
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Insert ``value``, evicting the least-recently-used overflow entry."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+
+    def get_or_create(self, key: Hashable, factory: Callable[[], V]) -> V:
+        """Return the cached value, creating it via ``factory`` on a miss."""
+        with self._lock:
+            if key in self._entries:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return self._entries[key]
+            self.misses += 1
+        value = factory()
+        self.put(key, value)
+        return value
+
+    def clear(self) -> None:
+        """Drop every entry and reset the hit/miss counters."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+
+
+#: The process-global stage memo every pipeline shares unless given its own.
+_MEMORY_CACHE = LRUCache(maxsize=MEMORY_CACHE_SIZE)
 
 
 def clear_memory_cache() -> None:
     """Drop every memoised stage artifact (used between test phases)."""
-    if _memory_cache is not None:
-        _memory_cache.clear()
+    _MEMORY_CACHE.clear()
 
 
 @dataclass(frozen=True)
@@ -174,7 +220,8 @@ class Pipeline:
             cache bypass to the timed stage while shared upstream prefixes
             stay reusable.
         memo: In-process memo cache; defaults to the process-global LRU.
-        telemetry: Counter registry; defaults to the process-global one.
+        metrics: Registry the per-stage telemetry lands in; defaults to the
+            process-global :data:`~repro.obs.metrics.METRICS`.
     """
 
     def __init__(
@@ -184,7 +231,7 @@ class Pipeline:
         use_cache: bool = True,
         no_cache_stages: Sequence[str] = (),
         memo=None,
-        telemetry: Optional[TelemetryRegistry] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         names = [stage.name for stage in stages]
         if len(set(names)) != len(names):
@@ -193,14 +240,8 @@ class Pipeline:
         self.store = store
         self.use_cache = use_cache
         self.no_cache_stages = frozenset(no_cache_stages)
-        self._memo = memo
-        self.telemetry = telemetry if telemetry is not None else TELEMETRY
-
-    @property
-    def memo(self):
-        if self._memo is None:
-            self._memo = memory_cache()
-        return self._memo
+        self.memo = memo if memo is not None else _MEMORY_CACHE
+        self.metrics = metrics if metrics is not None else METRICS
 
     def run(self, initial: Mapping[str, object]) -> PipelineRun:
         """Execute every stage against ``initial``, returning the run record."""
@@ -270,7 +311,9 @@ class Pipeline:
                         cached = self.memo.get(key, _MISSING)
                         if cached is not _MISSING:
                             value, status = pickle.loads(cached), "memory-hit"
-                            self.telemetry.record_hit(stage.name, "memory")
+                            self.metrics.inc(
+                                STAGE_METRICS + "memory_hits", stage=stage.name
+                            )
                         elif self.store is not None:
                             loaded = self.store.get(key)
                             if loaded is not None:
@@ -278,7 +321,9 @@ class Pipeline:
                                 payload = pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL)
                                 if len(payload) <= MEMO_MAX_ENTRY_BYTES:
                                     self.memo.put(key, payload)
-                                self.telemetry.record_hit(stage.name, "disk")
+                                self.metrics.inc(
+                                    STAGE_METRICS + "disk_hits", stage=stage.name
+                                )
 
                     if EVENTS.enabled and status in ("memory-hit", "disk-hit"):
                         EVENTS.emit(
@@ -301,7 +346,12 @@ class Pipeline:
                             raise CompilationError(
                                 f"stage {stage.name!r} returned None"
                             )
-                        self.telemetry.record_execution(stage.name, seconds)
+                        self.metrics.inc(
+                            STAGE_METRICS + "executions", stage=stage.name
+                        )
+                        self.metrics.observe(
+                            STAGE_METRICS + "seconds", seconds, stage=stage.name
+                        )
                         if cacheable and key is not None:
                             payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
                             if len(payload) <= MEMO_MAX_ENTRY_BYTES:

@@ -18,7 +18,7 @@ Quick start::
     store.export_csv("results/table3.csv")
 """
 
-from repro.sweep.cache import COMPUTATION_CACHE, LRUCache, build_computation
+from repro.sweep.cache import COMPUTATION_CACHE, build_computation
 from repro.sweep.grid import ParameterGrid, SweepPoint
 from repro.sweep.grids import (
     GRID_REGISTRY,
@@ -43,7 +43,6 @@ __all__ = [
     "BenchmarkScale",
     "COMPUTATION_CACHE",
     "GRID_REGISTRY",
-    "LRUCache",
     "ParameterGrid",
     "ResultStore",
     "SweepOutcome",

@@ -26,7 +26,7 @@ from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS
 from repro.obs.resources import RESOURCES
 from repro.obs.trace import TRACER
-from repro.pipeline.telemetry import TELEMETRY
+from repro.pipeline.pipeline import STAGE_METRICS
 from repro.sweep.grid import ParameterGrid, SweepPoint
 from repro.sweep.store import STRAGGLER_FACTOR, STRAGGLER_MIN_POINTS, ResultStore
 from repro.sweep.tasks import TASK_REGISTRY
@@ -35,6 +35,18 @@ __all__ = ["SweepOutcome", "SweepRunner", "execute_point", "run_grid"]
 
 #: Called after each point resolves: (point, record, finished_count, total).
 ProgressCallback = Callable[[SweepPoint, Dict[str, object], int, int], None]
+
+
+def _stage_totals() -> Dict[str, int]:
+    """Pipeline stage executions and cache hits so far, over every stage."""
+
+    def total(counter: str) -> int:
+        return sum(METRICS.counter_series(STAGE_METRICS + counter).values())
+
+    return {
+        "executions": total("executions"),
+        "hits": total("memory_hits") + total("disk_hits"),
+    }
 
 
 def execute_point(
@@ -86,13 +98,13 @@ def _execute_attempts(
         attempts += 1
         # Snapshot per attempt so a failed try's stage executions don't
         # inflate the delta attributed to the attempt that finally lands.
-        telemetry_before = TELEMETRY.totals()
+        telemetry_before = _stage_totals()
         try:
             result = task_fn(point)
         except Exception as exc:  # noqa: BLE001 - workers must not die
             if attempts <= retries:
                 continue
-            telemetry_after = TELEMETRY.totals()
+            telemetry_after = _stage_totals()
             return {
                 "status": "failed",
                 "result": None,
@@ -109,7 +121,7 @@ def _execute_attempts(
                 "cache_misses": telemetry_after["executions"]
                 - telemetry_before["executions"],
             }
-        telemetry_after = TELEMETRY.totals()
+        telemetry_after = _stage_totals()
         return {
             "status": "done",
             "result": result,

@@ -20,11 +20,12 @@ from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.hardware.resource_states import ResourceStateType
 from repro.metrics.improvement import improvement_factor
+from repro.pipeline import LRUCache
 from repro.programs.registry import paper_grid_size
 from repro.scheduling.bdir import BDIRConfig
 from repro.scheduling.list_scheduler import list_schedule
 from repro.scheduling.portfolio import portfolio_refine
-from repro.sweep.cache import LRUCache, build_computation
+from repro.sweep.cache import build_computation
 from repro.sweep.grid import SweepPoint
 
 __all__ = ["TASK_REGISTRY", "task", "config_for_point"]

@@ -15,9 +15,9 @@ metrics facade, without a second lock or snapshot implementation.  The view
 keeps the original public API — ``add``/``get``/``snapshot``/
 ``delta_since``/``reset`` with un-namespaced names — byte-compatible.
 
-The registry is process-global (mirroring
-:data:`repro.pipeline.telemetry.TELEMETRY`) and intentionally cheap: the
-hot paths call :meth:`OpCounters.add` with pre-aggregated increments (once
+The registry is process-global (like the pipeline's stage telemetry in
+:data:`repro.obs.metrics.METRICS`) and intentionally cheap: the hot paths
+call :meth:`OpCounters.add` with pre-aggregated increments (once
 per cycle / pass / call), never once per element.
 """
 

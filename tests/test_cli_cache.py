@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.pipeline import TELEMETRY, CACHE_DIR_ENV, CACHE_DISABLE_ENV, clear_memory_cache
+from repro.obs.metrics import METRICS
+from repro.pipeline import CACHE_DIR_ENV, CACHE_DISABLE_ENV, clear_memory_cache
 from repro.sweep.cache import COMPUTATION_CACHE
 
 
@@ -23,13 +24,13 @@ def isolated_caches(monkeypatch):
     monkeypatch.delenv(CACHE_DISABLE_ENV, raising=False)
     COMPUTATION_CACHE.clear()
     clear_memory_cache()
-    TELEMETRY.reset()
+    METRICS.reset("pipeline.stage.")
     yield
     os.environ.pop(CACHE_DIR_ENV, None)
     os.environ.pop(CACHE_DISABLE_ENV, None)
     COMPUTATION_CACHE.clear()
     clear_memory_cache()
-    TELEMETRY.reset()
+    METRICS.reset("pipeline.stage.")
 
 
 COMPILE_ARGS = ["compile", "--program", "QFT", "--qubits", "8", "--qpus", "2", "--grid-size", "5"]

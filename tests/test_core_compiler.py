@@ -90,9 +90,10 @@ class TestPipeline:
         compiler = DCMBQCCompiler(
             DCMBQCConfig(num_qpus=4, grid_size=7, topology=InterconnectTopology.LINE)
         )
-        system = compiler.multi_qpu_system()
+        system = compiler.system_model()
         assert system.num_qpus == 4
         assert system.topology is InterconnectTopology.LINE
+        assert system.describe()["grid_sizes"] == [7, 7, 7, 7]
 
 
 class TestScalingBehaviour:

@@ -23,7 +23,8 @@ from repro.circuit.equivalence import (
 from repro.circuit.simulator import StatevectorSimulator
 from repro.mbqc.simulator import simulate_pattern
 from repro.mbqc.translate import circuit_to_pattern
-from repro.pipeline import CACHE_DIR_ENV, TELEMETRY, clear_memory_cache
+from repro.obs.metrics import METRICS
+from repro.pipeline import CACHE_DIR_ENV, clear_memory_cache
 from repro.programs import build_benchmark
 from repro.programs.registry import EXTENDED_FAMILIES
 from repro.sweep.cache import COMPUTATION_CACHE
@@ -101,7 +102,7 @@ class TestFullPipeline:
     def _reset():
         COMPUTATION_CACHE.clear()
         clear_memory_cache()
-        TELEMETRY.reset()
+        METRICS.reset("pipeline.stage.")
 
     def test_every_new_family_compiles_distributed_with_warm_cache(
         self, warm_cache_environment
@@ -127,8 +128,8 @@ class TestFullPipeline:
             # The full distributed stack produced a schedule for the family.
             assert row["execution_time"] > 0
             assert len(row["part_sizes"]) >= 1
-        assert TELEMETRY.counters("translate").executions == len(cold_rows)
-        assert TELEMETRY.counters("scheduling").executions == len(cold_rows)
+        assert METRICS.counter("pipeline.stage.executions", stage="translate") == len(cold_rows)
+        assert METRICS.counter("pipeline.stage.executions", stage="scheduling") == len(cold_rows)
 
         self._reset()  # fresh process, warm disk cache
 
@@ -136,5 +137,5 @@ class TestFullPipeline:
         assert warm.results() == cold_rows
         assert warm.cache_summary()["hits"] > 0
         for stage in ("translate", "compgraph", "partition", "qpu_mapping", "scheduling"):
-            counters = TELEMETRY.counters(stage)
-            assert counters.executions == 0, f"warm rerun re-ran stage {stage}"
+            executions = METRICS.counter("pipeline.stage.executions", stage=stage)
+            assert executions == 0, f"warm rerun re-ran stage {stage}"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.hardware.qpu import InterconnectTopology, MultiQPUSystem, QPUSpec
+from repro.hardware.qpu import InterconnectTopology, QPUSpec
 from repro.hardware.resource_states import ResourceStateType
 from repro.hardware.system import (
     Link,
@@ -137,21 +137,6 @@ class TestCaching:
                 if a != b:
                     system.route(a, b)
         assert OP_COUNTERS.get("system.graph_builds") - before == built == 1
-
-    def test_multi_qpu_system_wrapper_builds_once(self):
-        system = MultiQPUSystem(6, spec(), InterconnectTopology.LINE)
-        before = OP_COUNTERS.get("system.graph_builds")
-        for _ in range(10):
-            assert system.are_connected(0, 1)
-            assert system.communication_distance(0, 5) == 5
-        assert OP_COUNTERS.get("system.graph_builds") - before <= 1
-
-    def test_multi_qpu_system_cache_invalidates_on_mutation(self):
-        system = MultiQPUSystem(4, spec())
-        assert system.are_connected(0, 2)
-        system.topology = InterconnectTopology.LINE
-        assert not system.are_connected(0, 2)
-        assert system.communication_distance(0, 3) == 3
 
 
 class TestHeterogeneity:

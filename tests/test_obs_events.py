@@ -119,17 +119,17 @@ class TestPipelineIntegration:
     def _pipeline(tmp_path):
         from repro.pipeline import (
             ArtifactStore,
+            LRUCache,
             Pipeline,
-            TelemetryRegistry,
             single_qpu_stages,
         )
-        from repro.sweep.cache import LRUCache
+        from repro.obs.metrics import MetricsRegistry
 
         return Pipeline(
             single_qpu_stages(grid_size=5, seed=0),
             store=ArtifactStore(tmp_path / "artifacts"),
             memo=LRUCache(maxsize=16),
-            telemetry=TelemetryRegistry(),
+            metrics=MetricsRegistry(),
         )
 
     @staticmethod

@@ -1,4 +1,4 @@
-"""Tests for the unified metrics core and its compatibility views."""
+"""Tests for the unified metrics core, its op-counter view and stage telemetry."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from repro.obs.metrics import (
     is_volatile_metric,
     registry_from_dump,
 )
-from repro.pipeline.telemetry import TELEMETRY, TelemetryRegistry
+from repro.pipeline import ArtifactStore, LRUCache, Pipeline, translate_stage
+from repro.programs import build_benchmark
 from repro.utils.counters import OP_COUNTERS, OpCounters
 
 
@@ -166,56 +167,49 @@ class TestOpCountersView:
 
 
 class TestTelemetryView:
-    def test_record_execution_and_counters(self):
-        telemetry = TelemetryRegistry()
-        telemetry.record_execution("translate", 0.25)
-        telemetry.record_execution("translate", 0.75)
-        telemetry.record_hit("translate", "memory")
-        telemetry.record_hit("translate", "disk")
-        counters = telemetry.counters("translate")
-        assert counters.executions == 2
-        assert counters.memory_hits == 1
-        assert counters.disk_hits == 1
-        assert counters.hits == 2
-        assert counters.seconds == pytest.approx(1.0)
+    """Pipeline stage telemetry, recorded straight into a metrics registry."""
 
-    def test_record_hit_rejects_unknown_source(self):
-        telemetry = TelemetryRegistry()
-        with pytest.raises(ValueError, match="unknown cache-hit source"):
-            telemetry.record_hit("translate", "l2")
-        # Nothing was silently counted as a memory hit.
-        assert telemetry.counters("translate").hits == 0
+    @staticmethod
+    def _pipeline(registry=None, tmp_path=None):
+        store = ArtifactStore(tmp_path) if tmp_path is not None else None
+        return Pipeline(
+            [translate_stage()], store=store, memo=LRUCache(maxsize=4), metrics=registry
+        )
 
-    def test_snapshot_totals_reset(self):
-        telemetry = TelemetryRegistry()
-        telemetry.record_execution("a", 0.1)
-        telemetry.record_hit("b", "disk")
-        snapshot = telemetry.snapshot()
-        assert set(snapshot) == {"a", "b"}
-        assert snapshot["b"]["disk_hits"] == 1
-        assert telemetry.totals() == {"executions": 1, "hits": 1, "disk_hits": 1}
-        telemetry.reset()
-        assert telemetry.snapshot() == {}
+    @staticmethod
+    def _state():
+        return {"circuit": build_benchmark("QFT", 4, seed=0)}
+
+    def test_record_execution_and_counters(self, tmp_path):
+        registry = MetricsRegistry()
+        pipeline = self._pipeline(registry, tmp_path)
+        pipeline.run(self._state())  # executes
+        pipeline.run(self._state())  # memo hit
+        pipeline.memo.clear()
+        pipeline.run(self._state())  # disk hit
+
+        def counter(name):
+            return registry.counter("pipeline.stage." + name, stage="translate")
+
+        assert counter("executions") == 1
+        assert counter("memory_hits") == 1
+        assert counter("disk_hits") == 1
+        assert registry.histogram("pipeline.stage.seconds", stage="translate").count == 1
 
     def test_global_view_shares_metrics_core(self):
-        before = METRICS.counter(
-            "pipeline.stage.memory_hits", stage="obs-test-stage"
-        )
-        TELEMETRY.record_hit("obs-test-stage", "memory")
-        assert (
-            METRICS.counter("pipeline.stage.memory_hits", stage="obs-test-stage")
-            == before + 1
-        )
+        before = METRICS.counter("pipeline.stage.executions", stage="translate")
+        self._pipeline().run(self._state())
+        assert METRICS.counter("pipeline.stage.executions", stage="translate") == before + 1
 
     def test_namespace_resets_do_not_cross(self):
         registry = MetricsRegistry()
-        telemetry = TelemetryRegistry(registry=registry)
         ops = OpCounters(registry=registry)
-        telemetry.record_execution("s", 0.1)
+        self._pipeline(registry).run(self._state())
         ops.add("k")
         ops.reset()
-        assert telemetry.counters("s").executions == 1
-        telemetry.reset()
+        assert registry.counter("pipeline.stage.executions", stage="translate") == 1
+        registry.reset("pipeline.stage.")
+        assert registry.counter("pipeline.stage.executions", stage="translate") == 0
         ops.add("k2")
         assert ops.get("k2") == 1
 

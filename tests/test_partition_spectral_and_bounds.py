@@ -1,58 +1,10 @@
-"""Tests for the spectral partitioner and the scheduling lower bounds."""
+"""Tests for the scheduling lower bounds."""
 
-import networkx as nx
-import pytest
-
-from repro.partition.spectral import fiedler_bisection, spectral_partition
 from repro.scheduling.bounds import (
     lifetime_lower_bound,
     makespan_lower_bound,
     schedule_quality,
 )
-from repro.utils.errors import PartitionError
-
-
-class TestFiedlerBisection:
-    def test_two_cliques_separated(self):
-        graph = nx.disjoint_union(nx.complete_graph(6), nx.complete_graph(6))
-        graph.add_edge(0, 6)
-        half = fiedler_bisection(graph)
-        assert half in ({0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11})
-
-    def test_returns_half_of_the_nodes(self):
-        graph = nx.path_graph(10)
-        assert len(fiedler_bisection(graph)) == 5
-
-    def test_tiny_graph_fallback(self):
-        graph = nx.path_graph(3)
-        assert len(fiedler_bisection(graph)) == 1
-
-
-class TestSpectralPartition:
-    def test_covers_graph(self, qft8_computation):
-        result = spectral_partition(qft8_computation.graph, 4)
-        result.validate_covers(qft8_computation.graph)
-        assert len(result.part_sizes()) == 4
-
-    def test_roughly_balanced(self, qft8_computation):
-        result = spectral_partition(qft8_computation.graph, 4)
-        sizes = result.part_sizes()
-        assert max(sizes) <= 1.5 * (sum(sizes) / 4)
-
-    def test_non_power_of_two_parts(self, qft8_computation):
-        result = spectral_partition(qft8_computation.graph, 3)
-        assert len([s for s in result.part_sizes() if s > 0]) == 3
-
-    def test_path_graph_cut_small(self):
-        graph = nx.path_graph(32)
-        result = spectral_partition(graph, 2)
-        assert result.cut_size(graph) <= 3
-
-    def test_invalid_inputs(self):
-        with pytest.raises(PartitionError):
-            spectral_partition(nx.path_graph(2), 0)
-        with pytest.raises(PartitionError):
-            spectral_partition(nx.path_graph(2), 5)
 
 
 class TestSchedulingBounds:

@@ -6,16 +6,16 @@ from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
 from repro.mbqc.translate import circuit_to_pattern
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import (
     ArtifactStore,
+    LRUCache,
     Pipeline,
     Stage,
-    TelemetryRegistry,
     single_qpu_stages,
 )
 from repro.pipeline.stages import initial_program_state
 from repro.programs import build_benchmark
-from repro.sweep.cache import LRUCache
 from repro.utils.errors import CompilationError
 
 
@@ -24,13 +24,13 @@ def qft(num_qubits=6, seed=0):
 
 
 def fresh_pipeline(tmp_path=None, grid_size=5, seed=0, **kwargs):
-    """A pipeline with private memo/telemetry so tests are order-independent."""
+    """A pipeline with private memo/metrics so tests are order-independent."""
     store = ArtifactStore(tmp_path) if tmp_path is not None else None
     return Pipeline(
         single_qpu_stages(grid_size=grid_size, seed=seed, **kwargs),
         store=store,
         memo=LRUCache(maxsize=16),
-        telemetry=TelemetryRegistry(),
+        metrics=MetricsRegistry(),
     )
 
 
@@ -93,7 +93,7 @@ class TestCaching:
             store=store,
             use_cache=False,
             memo=LRUCache(maxsize=16),
-            telemetry=TelemetryRegistry(),
+            metrics=MetricsRegistry(),
         )
         first = pipeline.run(initial_program_state(qft()))
         second = pipeline.run(initial_program_state(qft()))

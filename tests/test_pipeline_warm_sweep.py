@@ -10,7 +10,8 @@ pipeline stage telemetry counters — and reproduce identical rows.
 
 import pytest
 
-from repro.pipeline import TELEMETRY, CACHE_DIR_ENV, clear_memory_cache
+from repro.obs.metrics import METRICS
+from repro.pipeline import CACHE_DIR_ENV, clear_memory_cache
 from repro.sweep import grids
 from repro.sweep.cache import COMPUTATION_CACHE
 from repro.sweep.runner import run_grid
@@ -31,7 +32,11 @@ def _reset_process_caches():
     COMPUTATION_CACHE.clear()
     _ONEQ_BASELINE_CACHE.clear()
     clear_memory_cache()
-    TELEMETRY.reset()
+    METRICS.reset("pipeline.stage.")
+
+
+def stage_counter(stage, counter="executions"):
+    return METRICS.counter("pipeline.stage." + counter, stage=stage)
 
 
 def small_figure8_grid():
@@ -47,27 +52,25 @@ class TestWarmFigure8Sweep:
         cold = run_grid(grid, workers=1)
         cold_rows = cold.results()
         # The three K_max points share one instance: the prefix runs once.
-        assert TELEMETRY.counters("translate").executions == 1
-        assert TELEMETRY.counters("compgraph").executions == 1
+        assert stage_counter("translate") == 1
+        assert stage_counter("compgraph") == 1
         # K_max does not reach partition/mapping either: one execution each.
-        assert TELEMETRY.counters("partition").executions == 1
-        assert TELEMETRY.counters("qpu_mapping").executions == 1
-        assert TELEMETRY.counters("scheduling").executions == 3
+        assert stage_counter("partition") == 1
+        assert stage_counter("qpu_mapping") == 1
+        assert stage_counter("scheduling") == 3
 
         _reset_process_caches()  # fresh process, warm disk
 
         warm = run_grid(grid, workers=1)
         warm_rows = warm.results()
-        translate = TELEMETRY.counters("translate")
-        compgraph = TELEMETRY.counters("compgraph")
-        assert translate.executions == 0, "warm rerun re-translated a circuit"
-        assert compgraph.executions == 0, "warm rerun rebuilt a computation graph"
-        assert translate.disk_hits >= 1
-        assert compgraph.disk_hits >= 1
+        assert stage_counter("translate") == 0, "warm rerun re-translated a circuit"
+        assert stage_counter("compgraph") == 0, "warm rerun rebuilt a computation graph"
+        assert stage_counter("translate", "disk_hits") >= 1
+        assert stage_counter("compgraph", "disk_hits") >= 1
         # Downstream distributed stages are warm too.
-        assert TELEMETRY.counters("partition").executions == 0
-        assert TELEMETRY.counters("qpu_mapping").executions == 0
-        assert TELEMETRY.counters("scheduling").executions == 0
+        assert stage_counter("partition") == 0
+        assert stage_counter("qpu_mapping") == 0
+        assert stage_counter("scheduling") == 0
         assert warm_rows == cold_rows
 
     def test_warm_rerun_reports_cache_hits_in_records(self, warm_cache_environment):
