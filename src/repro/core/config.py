@@ -95,6 +95,8 @@ class DCMBQCConfig:
             raise CompilationError("bdir_starts must be at least 1")
         if self.alpha_max < 1.0:
             raise CompilationError("alpha_max must be at least 1.0")
+        if self.gamma <= 1.0:
+            raise CompilationError("gamma must be greater than 1")
         if self.relay_model not in ("pipelined", "atomic"):
             raise CompilationError(
                 f"relay_model must be 'pipelined' or 'atomic', got {self.relay_model!r}"

@@ -12,7 +12,7 @@ stagnates or the maximum imbalance ``alpha_max`` is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -64,6 +64,8 @@ class AdaptivePartitionConfig:
             raise PartitionError("gamma must be greater than 1")
         if self.alpha_max < 1.0:
             raise PartitionError("alpha_max must be at least 1")
+        if self.max_iterations < 1:
+            raise PartitionError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -112,6 +114,14 @@ class AdaptivePartitioner:
         best_partition: Optional[PartitionResult] = None
         best_q = -1.0
         previous_q: Optional[float] = None
+        # The multilevel partitioner sees alpha only through its per-part
+        # weight ceilings, so steps with equal ceilings share one result:
+        # the search may revisit the same alpha many times when Q oscillates.
+        # Level-0 node weights are all 1 and coarsening keeps their sum.
+        total_weight = graph.number_of_nodes()
+        scored: Dict[
+            Tuple[float, ...], Tuple[PartitionResult, float, int, float]
+        ] = {}
 
         for _ in range(config.max_iterations):
             partitioner = MultilevelPartitioner(
@@ -121,15 +131,23 @@ class AdaptivePartitioner:
                 capacities=config.capacities,
                 comm_costs=config.comm_costs,
             )
-            candidate = partitioner.partition(graph)
-            q = modularity(graph, candidate.assignment)
+            limits = partitioner.part_limits(total_weight)
+            if limits not in scored:
+                fresh = partitioner.partition(graph)
+                scored[limits] = (
+                    fresh,
+                    modularity(graph, fresh.assignment),
+                    fresh.cut_size(graph),
+                    fresh.imbalance(),
+                )
+            candidate, q, cut_size, imbalance = scored[limits]
             accepted = q > best_q
             self.trace.append(
                 AdaptiveSearchTrace(
                     alpha=alpha,
                     modularity=q,
-                    cut_size=candidate.cut_size(graph),
-                    imbalance=candidate.imbalance(),
+                    cut_size=cut_size,
+                    imbalance=imbalance,
                     accepted=accepted,
                 )
             )

@@ -347,35 +347,30 @@ class MultilevelPartitioner:
     # Initial partition
     # ------------------------------------------------------------------ #
 
-    def _max_part_weight(self, total_weight: float) -> float:
-        ideal = total_weight / self.num_parts
-        # Always allow at least one extra unit so whole nodes fit.
-        return max(self.imbalance * ideal, ideal + 1.0)
-
     def _part_targets(self, total_weight: float) -> List[float]:
         """Per-part ideal weights (capacity shares; uniform when None)."""
         if self.capacities is None:
             return [total_weight / self.num_parts] * self.num_parts
         return [total_weight * share for share in self.capacities]
 
-    def _part_limits(self, total_weight: float) -> List[float]:
-        """Per-part weight ceilings under the imbalance factor."""
-        if self.capacities is None:
-            return [self._max_part_weight(total_weight)] * self.num_parts
-        return [
+    def part_limits(self, total_weight: float) -> Tuple[float, ...]:
+        """Per-part weight ceilings under the imbalance factor.
+
+        This is the only place the imbalance factor enters the algorithm:
+        two partitioners with equal limits for the graph's total weight
+        (coarsening preserves it) return the same assignment.  Every ceiling
+        allows at least one extra unit so whole nodes fit.
+        """
+        return tuple(
             max(self.imbalance * target, target + 1.0)
             for target in self._part_targets(total_weight)
-        ]
+        )
 
     def _initial_partition(self, graph: _ArrayGraph) -> List[int]:
         """Balanced region growing on the coarsest graph."""
         rng = make_rng(self.seed + 1)
         total_weight = sum(graph.node_weight)
-        if self.capacities is None:
-            limits = None
-            limit = self._max_part_weight(total_weight)
-        else:
-            limits = self._part_limits(total_weight)
+        limits = self.part_limits(total_weight)
         targets = self._part_targets(total_weight)
 
         assignment = [-1] * graph.num_nodes
@@ -388,7 +383,7 @@ class MultilevelPartitioner:
         for part in range(self.num_parts):
             if not unassigned:
                 break
-            part_limit = limit if limits is None else limits[part]
+            part_limit = limits[part]
             # Seed with the highest-degree unassigned node.
             seed_node = next(n for n in nodes_by_degree if n in unassigned)
             frontier = [seed_node]
@@ -413,7 +408,7 @@ class MultilevelPartitioner:
         # uniform branch keeps the seed's lightest-part rule verbatim.
         for node in sorted(unassigned, key=graph.label_of):
             weight = graph.node_weight[node]
-            if limits is None:
+            if self.capacities is None:
                 part = min(range(self.num_parts), key=lambda p: part_weight[p])
             else:
                 part = min(
@@ -440,11 +435,7 @@ class MultilevelPartitioner:
         """
         assignment = list(assignment)
         total_weight = sum(graph.node_weight)
-        if self.capacities is None:
-            uniform_limit = self._max_part_weight(total_weight)
-            limits = [uniform_limit] * self.num_parts
-        else:
-            limits = self._part_limits(total_weight)
+        limits = self.part_limits(total_weight)
         hops = self.comm_costs
         part_weight = [0.0] * self.num_parts
         for node, part in enumerate(assignment):

@@ -27,6 +27,11 @@ class TestConfig:
         with pytest.raises(CompilationError):
             DCMBQCConfig(alpha_max=0.5)
 
+    def test_gamma_must_exceed_one(self):
+        # Rejected up front, before translate and compgraph run.
+        with pytest.raises(CompilationError, match="gamma"):
+            DCMBQCConfig(num_qpus=2, grid_size=5, gamma=1.0)
+
     def test_with_updates(self):
         config = DCMBQCConfig(num_qpus=4)
         updated = config.with_updates(num_qpus=8, grid_size=9)

@@ -3,9 +3,13 @@
 import networkx as nx
 import pytest
 
+from repro.compiler.compgraph import computation_graph_from_pattern
+from repro.mbqc.translate import circuit_to_pattern
 from repro.partition.adaptive import AdaptivePartitionConfig, AdaptivePartitioner
 from repro.partition.modularity import modularity
-from repro.partition.multilevel import partition_graph
+from repro.partition.multilevel import MultilevelPartitioner, partition_graph
+from repro.programs.registry import build_benchmark
+from repro.utils.counters import OP_COUNTERS
 from repro.utils.errors import PartitionError
 
 
@@ -36,6 +40,10 @@ class TestConfig:
             AdaptivePartitionConfig(num_parts=2, gamma=1.0)
         with pytest.raises(PartitionError):
             AdaptivePartitionConfig(num_parts=2, alpha_max=0.9)
+
+    def test_max_iterations_must_be_positive(self):
+        with pytest.raises(PartitionError, match="max_iterations"):
+            AdaptivePartitionConfig(num_parts=2, max_iterations=0)
 
 
 class TestAlgorithm2:
@@ -85,3 +93,40 @@ class TestAlgorithm2:
         config = AdaptivePartitionConfig(num_parts=1)
         result = AdaptivePartitioner(config).partition(small_computation.graph)
         assert set(result.assignment.values()) == {0}
+
+
+class TestRepeatedLimits:
+    """Steps that revisit a balance limit reuse its partition verbatim."""
+
+    def test_oscillating_search_partitions_each_limit_once(self):
+        # VQE-24 on 8 parts: Q alternates between alpha = 1.0 and 1.02 by more
+        # than epsilon_Q, so the search runs all 64 steps over two limits.
+        graph = computation_graph_from_pattern(
+            circuit_to_pattern(build_benchmark("VQE", 24))
+        ).graph
+        partitioner = AdaptivePartitioner(AdaptivePartitionConfig(num_parts=8))
+        before = OP_COUNTERS.snapshot()
+        result = partitioner.partition(graph)
+        calls = OP_COUNTERS.delta_since(before).get("partition.calls", 0)
+
+        assert len(partitioner.trace) == 64
+        assert calls == 2
+
+        # Reference: a fresh multilevel partition for every step.
+        reference = []
+        best_q = -1.0
+        best_assignment = None
+        for step in partitioner.trace:
+            fresh = MultilevelPartitioner(8, imbalance=step.alpha).partition(graph)
+            q = modularity(graph, fresh.assignment)
+            reference.append(
+                (step.alpha, q, fresh.cut_size(graph), fresh.imbalance(), q > best_q)
+            )
+            if q > best_q:
+                best_q = q
+                best_assignment = fresh.assignment
+        assert [
+            (s.alpha, s.modularity, s.cut_size, s.imbalance, s.accepted)
+            for s in partitioner.trace
+        ] == reference
+        assert result.assignment == best_assignment
