@@ -16,11 +16,13 @@ Environment variables:
 
 * ``DCMBQC_ARTIFACT_CACHE_DIR`` — cache directory; unset/empty disables the
   on-disk layer (the in-process memo cache still applies).
-* ``DCMBQC_ARTIFACT_CACHE_LIMIT_MB`` — size bound in MiB (default 256).
+* ``DCMBQC_ARTIFACT_CACHE_LIMIT_MB`` — size bound in MiB (default 256; an
+  unparsable, non-finite or non-positive value means the default).
 """
 
 from __future__ import annotations
 
+import math
 import os
 import pathlib
 import pickle
@@ -84,6 +86,15 @@ class ArtifactStore:
 
     def get(self, key: str) -> Optional[object]:
         """Load the artifact for ``key``; ``None`` on miss or corrupt entry."""
+        loaded = self.load(key)
+        return None if loaded is None else loaded[0]
+
+    def load(self, key: str) -> Optional[Tuple[object, bytes]]:
+        """Load ``(artifact, pickled bytes)`` for ``key``; ``None`` on a miss.
+
+        The raw bytes let a caller that keeps pickled snapshots (the
+        pipeline's memo layer) reuse them instead of serialising again.
+        """
         path = self._path(key)
         try:
             payload = path.read_bytes()
@@ -103,7 +114,7 @@ class ArtifactStore:
         except OSError:  # pragma: no cover - entry raced away
             pass
         self.hits += 1
-        return value
+        return value, payload
 
     def put(self, key: str, value: object, payload: Optional[bytes] = None) -> None:
         """Store ``value`` under ``key`` atomically, then enforce the bound.
@@ -171,11 +182,14 @@ class ArtifactStore:
 
 
 def _limit_from_environment() -> int:
-    raw = os.environ.get(CACHE_LIMIT_ENV, "")
+    """The size bound in bytes; a value that is not a positive number is ignored."""
     try:
-        return max(1, int(float(raw) * 1024 * 1024))
+        limit_mb = float(os.environ.get(CACHE_LIMIT_ENV, ""))
     except ValueError:
-        return DEFAULT_CACHE_LIMIT_MB * 1024 * 1024
+        limit_mb = DEFAULT_CACHE_LIMIT_MB
+    if not math.isfinite(limit_mb) or limit_mb <= 0:
+        limit_mb = DEFAULT_CACHE_LIMIT_MB
+    return max(1, int(limit_mb * 1024 * 1024))
 
 
 def caching_disabled() -> bool:

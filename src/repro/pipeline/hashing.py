@@ -5,7 +5,10 @@ its inputs, so identical programs hash identically across processes and
 interpreter runs (no ``id()``, no ``hash()`` randomisation, no pickle byte
 instability).  The canonical form is a JSON document built from sorted,
 explicitly ordered primitives; floats are rendered with ``repr`` so every
-representable value keeps a distinct, stable spelling.
+representable value keeps a distinct, stable spelling.  Stage parameters
+go through :func:`canonicalize`; the artifact hashers build parts that are
+already canonical (ints, strs, tuples and lists, angles pre-rendered with
+``repr``) and serialise them directly to the same bytes.
 
 The scheme intentionally mirrors :meth:`repro.sweep.grid.SweepPoint.cache_key`
 (sha256 over canonical JSON, truncated to 20 hex characters) so artifact keys
@@ -84,23 +87,42 @@ def canonicalize(value: object) -> object:
     return repr(value)
 
 
-def hash_parts(*parts: object) -> str:
-    """Hash a sequence of canonicalised parts into a short stable key."""
-    payload = json.dumps(
-        [canonicalize(part) for part in parts],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:KEY_LENGTH]
 
 
-def circuit_hash(circuit: QuantumCircuit) -> str:
-    """Content hash of a gate-level circuit (register, name, gate list)."""
+def hash_parts(*parts: object) -> str:
+    """Hash a sequence of canonicalised parts into a short stable key."""
+    return _digest(
+        json.dumps(
+            [canonicalize(part) for part in parts],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+    )
+
+
+def _hash_native(*parts: object) -> str:
+    """:func:`hash_parts` for parts that are already canonical.
+
+    Parts built only from ints, strs, ``None``, tuples and lists canonicalise
+    to themselves, so serialising them directly yields the same bytes (and
+    key) without the :func:`canonicalize` walk over every element.
+    """
+    return _digest(json.dumps(parts, separators=(",", ":")))
+
+
+def _circuit_parts(circuit: QuantumCircuit) -> tuple:
     gates: List[object] = [
         (gate.name, list(gate.qubits), [repr(float(p)) for p in gate.params])
         for gate in circuit.gates
     ]
-    return hash_parts("circuit", circuit.num_qubits, circuit.name, gates)
+    return ("circuit", circuit.num_qubits, circuit.name, gates)
+
+
+def circuit_hash(circuit: QuantumCircuit) -> str:
+    """Content hash of a gate-level circuit (register, name, gate list)."""
+    return _hash_native(*_circuit_parts(circuit))
 
 
 def _command_canonical(command: object) -> object:
@@ -121,9 +143,8 @@ def _command_canonical(command: object) -> object:
     raise TypeError(f"cannot hash command {command!r}")
 
 
-def pattern_hash(pattern: Pattern) -> str:
-    """Content hash of a measurement pattern (nodes, commands, domains)."""
-    return hash_parts(
+def _pattern_parts(pattern: Pattern) -> tuple:
+    return (
         "pattern",
         pattern.name,
         list(pattern.input_nodes),
@@ -133,13 +154,17 @@ def pattern_hash(pattern: Pattern) -> str:
     )
 
 
-def computation_hash(computation: ComputationGraph) -> str:
-    """Content hash of a computation graph (topology, dependencies, order)."""
+def pattern_hash(pattern: Pattern) -> str:
+    """Content hash of a measurement pattern (nodes, commands, domains)."""
+    return _hash_native(*_pattern_parts(pattern))
+
+
+def _computation_parts(computation: ComputationGraph) -> tuple:
     dependency_edges = sorted(
         (source, target, data["kind"])
         for source, target, data in computation.dependency.graph.edges(data=True)
     )
-    return hash_parts(
+    return (
         "compgraph",
         computation.name,
         computation.nodes(),
@@ -151,13 +176,18 @@ def computation_hash(computation: ComputationGraph) -> str:
     )
 
 
+def computation_hash(computation: ComputationGraph) -> str:
+    """Content hash of a computation graph (topology, dependencies, order)."""
+    return _hash_native(*_computation_parts(computation))
+
+
+def _partition_parts(partition: PartitionResult) -> tuple:
+    return ("partition", partition.num_parts, sorted(partition.assignment.items()))
+
+
 def partition_hash(partition: PartitionResult) -> str:
     """Content hash of a k-way partition (assignment plus part count)."""
-    return hash_parts(
-        "partition",
-        partition.num_parts,
-        sorted(partition.assignment.items()),
-    )
+    return _hash_native(*_partition_parts(partition))
 
 
 #: Registered hashers, tried in order by :func:`content_hash`.

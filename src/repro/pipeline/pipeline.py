@@ -12,6 +12,15 @@ staged compiler run.  For every stage it:
 3. otherwise executes the stage, records wall time, and writes the artifact
    back to both cache layers.
 
+Each artifact is hashed and pickled at most once per cache key per process.
+A memo entry is ``(output_hash, payload)``: a memory hit thaws ``payload``
+and takes the output hash from the entry instead of re-hashing the thawed
+artifact.  An artifact whose pickle exceeds :data:`MEMO_MAX_ENTRY_BYTES`
+keeps an entry with ``payload=None``, so re-executing its key (the
+translate stage of a K_max sweep, for instance) reuses the recorded hash
+and skips the pickle it would only discard again.  This rests on stage
+determinism, the assumption every cache hit already makes.
+
 Every run returns a :class:`PipelineRun` carrying the final artifact state
 and a provenance manifest — one :class:`StageRecord` per stage saying
 whether it executed, hit a cache layer, or was satisfied by a provided
@@ -34,7 +43,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs.events import EVENTS
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -55,11 +64,17 @@ __all__ = [
 #: Entry bound of the process-global stage memo.
 MEMORY_CACHE_SIZE = 128
 
-#: Artifacts whose pickled snapshot exceeds this many bytes skip the
-#: in-process memo (they remain disk-cached): the memo is bounded by entry
-#: count, and a handful of paper-scale DistributedCompilationResults would
-#: otherwise dominate worker memory.
+#: Artifacts whose pickled snapshot exceeds this many bytes keep no snapshot
+#: in the in-process memo (they remain disk-cached): the memo is bounded by
+#: entry count, and a handful of paper-scale DistributedCompilationResults
+#: would otherwise dominate worker memory.  Their entry still carries the
+#: output hash and so remembers the over-cap verdict: a re-execution of the
+#: key neither re-hashes nor re-pickles the artifact.
 MEMO_MAX_ENTRY_BYTES = 8 * 1024 * 1024
+
+#: A memo entry: the artifact's output hash and its pickled snapshot (``None``
+#: when the snapshot exceeded :data:`MEMO_MAX_ENTRY_BYTES`).
+MemoEntry = Tuple[str, Optional[bytes]]
 
 #: Metric-name prefix of the per-stage telemetry series.
 STAGE_METRICS = "pipeline.stage."
@@ -297,33 +312,36 @@ class Pipeline:
                 )
                 value: object = _MISSING
                 status = "executed"
+                # This key's memo entry: (output hash, pickled snapshot or
+                # None when the snapshot exceeded MEMO_MAX_ENTRY_BYTES).
+                entry: Optional[MemoEntry] = None
 
                 if EVENTS.enabled:
                     EVENTS.emit("stage.start", stage=stage.name)
                 with TRACER.span(f"stage.{stage.name}", stage=stage.name) as stage_span:
                     if cacheable:
                         key = stage.key([hashes[name] for name in stage.inputs])
-                    if cacheable and stage.name not in self.no_cache_stages:
+                        entry = self.memo.get(key)
+                    lookup = cacheable and stage.name not in self.no_cache_stages
+                    if lookup and entry is not None and entry[1] is not None:
                         # The memo holds pickled snapshots: every hit thaws a
                         # private copy, so callers may mutate returned artifacts
                         # freely without corrupting the cache (same semantics as
                         # disk hits).
-                        cached = self.memo.get(key, _MISSING)
-                        if cached is not _MISSING:
-                            value, status = pickle.loads(cached), "memory-hit"
+                        value, status = pickle.loads(entry[1]), "memory-hit"
+                        self.metrics.inc(
+                            STAGE_METRICS + "memory_hits", stage=stage.name
+                        )
+                    elif lookup and self.store is not None:
+                        loaded = self.store.load(key)
+                        if loaded is not None:
+                            value, payload = loaded
+                            status = "disk-hit"
+                            if entry is None:
+                                entry = self._remember(key, value, payload)
                             self.metrics.inc(
-                                STAGE_METRICS + "memory_hits", stage=stage.name
+                                STAGE_METRICS + "disk_hits", stage=stage.name
                             )
-                        elif self.store is not None:
-                            loaded = self.store.get(key)
-                            if loaded is not None:
-                                value, status = loaded, "disk-hit"
-                                payload = pickle.dumps(loaded, pickle.HIGHEST_PROTOCOL)
-                                if len(payload) <= MEMO_MAX_ENTRY_BYTES:
-                                    self.memo.put(key, payload)
-                                self.metrics.inc(
-                                    STAGE_METRICS + "disk_hits", stage=stage.name
-                                )
 
                     if EVENTS.enabled and status in ("memory-hit", "disk-hit"):
                         EVENTS.emit(
@@ -352,10 +370,16 @@ class Pipeline:
                         self.metrics.observe(
                             STAGE_METRICS + "seconds", seconds, stage=stage.name
                         )
-                        if cacheable and key is not None:
-                            payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
-                            if len(payload) <= MEMO_MAX_ENTRY_BYTES:
-                                self.memo.put(key, payload)
+                        if cacheable:
+                            if entry is None:
+                                payload = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+                                entry = self._remember(key, value, payload)
+                            else:
+                                # Stages are deterministic: a re-execution
+                                # reproduces the memoised artifact, so its hash
+                                # and over-cap verdict stand; the store pickles
+                                # only when the memo kept no snapshot.
+                                payload = entry[1]
                             if self.store is not None:
                                 self.store.put(key, value, payload=payload)
                     stage_span.set(status=status)
@@ -364,9 +388,7 @@ class Pipeline:
                     EVENTS.emit("stage.finish", stage=stage.name, status=status)
                 state[stage.output] = value
                 if use_cache:
-                    output_hash = content_hash(value)
-                    if output_hash is None:
-                        output_hash = key  # provenance key fallback
+                    output_hash = entry[0] if entry is not None else content_hash(value)
                     if output_hash is not None:
                         hashes[stage.output] = output_hash
                 records.append(
@@ -383,3 +405,18 @@ class Pipeline:
             records=records,
             final_output=self.stages[-1].output if self.stages else None,
         )
+
+    def _remember(self, key: str, value: object, payload: bytes) -> MemoEntry:
+        """Hash ``value`` and memoise it under ``key``; return the new entry.
+
+        Artifacts of unknown type take the provenance key as their hash; a
+        snapshot above :data:`MEMO_MAX_ENTRY_BYTES` is dropped, but the entry
+        keeps its hash so later runs of the key neither hash nor pickle.
+        """
+        output_hash = content_hash(value)
+        entry = (
+            key if output_hash is None else output_hash,
+            payload if len(payload) <= MEMO_MAX_ENTRY_BYTES else None,
+        )
+        self.memo.put(key, entry)
+        return entry

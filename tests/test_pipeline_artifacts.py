@@ -1,6 +1,7 @@
 """Tests for the on-disk content-addressed artifact store."""
 
 import os
+import pickle
 
 import pytest
 
@@ -65,6 +66,24 @@ class TestArtifactStore:
         assert ArtifactStore(tmp_path).max_bytes == 1024 * 1024
         monkeypatch.setenv(CACHE_LIMIT_ENV, "bogus")
         assert ArtifactStore(tmp_path).max_bytes == 256 * 1024 * 1024
+
+    @pytest.mark.parametrize("raw", ["inf", "nan", "0", "-5"])
+    def test_limit_that_is_not_a_positive_number_means_default(
+        self, tmp_path, monkeypatch, raw
+    ):
+        monkeypatch.setenv(CACHE_LIMIT_ENV, raw)
+        assert ArtifactStore(tmp_path).max_bytes == 256 * 1024 * 1024
+        store = resolve_store(tmp_path / raw)  # used to raise OverflowError on inf
+        assert store is not None and store.max_bytes == 256 * 1024 * 1024
+
+    def test_load_returns_the_stored_bytes(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put("abc", [1, 2], payload=pickle.dumps([1, 2]))
+        value, payload = store.load("abc")
+        assert value == [1, 2]
+        assert payload == (tmp_path / "abc.pkl").read_bytes()
+        assert store.load("missing") is None
+        assert (store.hits, store.misses) == (1, 1)
 
 
 class TestResolveStore:

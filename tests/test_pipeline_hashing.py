@@ -2,8 +2,11 @@
 
 import math
 
+import pytest
+
 from repro.circuit.circuit import QuantumCircuit
 from repro.mbqc.translate import circuit_to_pattern
+from repro.pipeline import hashing
 from repro.pipeline.hashing import (
     canonicalize,
     circuit_hash,
@@ -15,7 +18,7 @@ from repro.pipeline.hashing import (
 )
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.partition.types import PartitionResult
-from repro.programs import build_benchmark
+from repro.programs import benchmark_names, build_benchmark
 
 
 def qft(num_qubits=6, seed=0):
@@ -114,3 +117,22 @@ class TestPartitionAndDispatch:
         assert content_hash(computation) == computation_hash(computation)
         assert content_hash(math.pi) is None
         assert content_hash("not an artifact") is None
+
+
+@pytest.mark.parametrize("program", benchmark_names())
+def test_direct_serialisation_equals_canonicalising_path(program):
+    """Artifact hashes serialise their parts directly; the bytes (and keys)
+    must equal the :func:`hash_parts` path that canonicalises every part."""
+    circuit = build_benchmark(program, 6, seed=5)
+    pattern = circuit_to_pattern(circuit)
+    computation = computation_graph_from_pattern(pattern)
+    partition = PartitionResult(
+        assignment={node: node % 3 for node in computation.nodes()}, num_parts=3
+    )
+    for parts, hasher, artifact in (
+        (hashing._circuit_parts, circuit_hash, circuit),
+        (hashing._pattern_parts, pattern_hash, pattern),
+        (hashing._computation_parts, computation_hash, computation),
+        (hashing._partition_parts, partition_hash, partition),
+    ):
+        assert hasher(artifact) == hash_parts(*parts(artifact)), hasher.__name__

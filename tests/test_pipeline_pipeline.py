@@ -1,7 +1,10 @@
 """Tests for the Pipeline pass-manager: caching, invalidation, provenance."""
 
+import pickle
+
 import pytest
 
+import repro.pipeline.pipeline as pipeline_module
 from repro.compiler.compgraph import computation_graph_from_pattern
 from repro.core.compiler import DCMBQCCompiler
 from repro.core.config import DCMBQCConfig
@@ -14,7 +17,7 @@ from repro.pipeline import (
     Stage,
     single_qpu_stages,
 )
-from repro.pipeline.stages import initial_program_state
+from repro.pipeline.stages import distributed_stages, initial_program_state
 from repro.programs import build_benchmark
 from repro.utils.errors import CompilationError
 
@@ -32,6 +35,36 @@ def fresh_pipeline(tmp_path=None, grid_size=5, seed=0, **kwargs):
         memo=LRUCache(maxsize=16),
         metrics=MetricsRegistry(),
     )
+
+
+def stage_keys(run):
+    return {record.stage: record.key for record in run.records}
+
+
+def count_pickles(monkeypatch):
+    """Record the type of every object ``pickle.dumps`` serialises from now on."""
+    calls = []
+    dumps = pickle.dumps
+
+    def counting_dumps(value, *args, **kwargs):
+        calls.append(type(value).__name__)
+        return dumps(value, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", counting_dumps)
+    return calls
+
+
+def count_content_hashes(monkeypatch):
+    """Record the artifact type of every content hash the pipeline takes."""
+    calls = []
+    content_hash = pipeline_module.content_hash
+
+    def counting_content_hash(artifact):
+        calls.append(type(artifact).__name__)
+        return content_hash(artifact)
+
+    monkeypatch.setattr(pipeline_module, "content_hash", counting_content_hash)
+    return calls
 
 
 class TestEntryPoints:
@@ -86,6 +119,19 @@ class TestCaching:
         ]
         assert cold_schedule.fusee_pairs == warm_schedule.fusee_pairs
 
+    def test_disk_hit_run_pickles_nothing(self, tmp_path, monkeypatch):
+        """A disk hit memoises the bytes the store read instead of re-pickling."""
+        cold = fresh_pipeline(tmp_path).run(initial_program_state(qft()))
+        pickles = count_pickles(monkeypatch)
+        pipeline = fresh_pipeline(tmp_path)
+        warm = pipeline.run(initial_program_state(qft()))
+        assert pickles == []
+        assert [record.status for record in warm.records] == ["disk-hit"] * 3
+        assert stage_keys(warm) == stage_keys(cold)
+        again = pipeline.run(initial_program_state(qft()))
+        assert [record.status for record in again.records] == ["memory-hit"] * 3
+        assert stage_keys(again) == stage_keys(cold)
+
     def test_use_cache_false_always_executes(self, tmp_path):
         store = ArtifactStore(tmp_path)
         pipeline = Pipeline(
@@ -104,22 +150,18 @@ class TestCaching:
 class TestInvalidation:
     """Changing any upstream parameter must change the downstream keys."""
 
-    @staticmethod
-    def stage_keys(run):
-        return {record.stage: record.key for record in run.records}
-
     def test_unchanged_parameters_reproduce_identical_keys(self):
-        a = self.stage_keys(fresh_pipeline().run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline().run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline().run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline().run(initial_program_state(qft())))
         assert a == b
 
     def test_circuit_change_invalidates_every_downstream_stage(self):
-        a = self.stage_keys(
+        a = stage_keys(
             fresh_pipeline().run(
                 initial_program_state(build_benchmark("QAOA", 6, seed=1))
             )
         )
-        b = self.stage_keys(
+        b = stage_keys(
             fresh_pipeline().run(
                 initial_program_state(build_benchmark("QAOA", 6, seed=2))
             )
@@ -129,15 +171,15 @@ class TestInvalidation:
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_mapping_parameter_change_only_invalidates_mapping(self):
-        a = self.stage_keys(fresh_pipeline(grid_size=5).run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline(grid_size=6).run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline(grid_size=5).run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline(grid_size=6).run(initial_program_state(qft())))
         assert a["translate"] == b["translate"]
         assert a["compgraph"] == b["compgraph"]
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_seed_change_invalidates_mapping(self):
-        a = self.stage_keys(fresh_pipeline(seed=0).run(initial_program_state(qft())))
-        b = self.stage_keys(fresh_pipeline(seed=1).run(initial_program_state(qft())))
+        a = stage_keys(fresh_pipeline(seed=0).run(initial_program_state(qft())))
+        b = stage_keys(fresh_pipeline(seed=1).run(initial_program_state(qft())))
         assert a["grid_mapping"] != b["grid_mapping"]
 
     def test_stage_version_bump_invalidates(self):
@@ -191,3 +233,68 @@ class TestDistributedPipeline:
         assert keys_a["partition"] == keys_b["partition"]
         assert keys_a["qpu_mapping"] == keys_b["qpu_mapping"]
         assert keys_a["scheduling"] != keys_b["scheduling"]
+
+
+class TestOncePerKey:
+    """Each artifact is hashed and pickled at most once per key per process."""
+
+    K_MAX_SWEEP = (1, 2, 4, 8)
+
+    @staticmethod
+    def sweep_point(k_max, memo):
+        """Compile QFT-12 on 4 QPUs at one connection capacity."""
+        compiler = DCMBQCCompiler(
+            DCMBQCConfig(num_qpus=4, grid_size=5, connection_capacity=k_max)
+        )
+        pipeline = Pipeline(
+            distributed_stages(compiler), memo=memo, metrics=MetricsRegistry()
+        )
+        return pipeline.run(initial_program_state(qft(12)))
+
+    def test_kmax_sweep_hashes_only_the_circuit_at_warm_points(self, monkeypatch):
+        memo = LRUCache(maxsize=16)
+        self.sweep_point(self.K_MAX_SWEEP[0], memo)
+        hashes = count_content_hashes(monkeypatch)
+        for k_max in self.K_MAX_SWEEP[1:]:
+            hashes.clear()
+            run = self.sweep_point(k_max, memo)
+            assert [record.status for record in run.records] == [
+                "memory-hit", "memory-hit", "memory-hit", "memory-hit", "executed"
+            ]
+            # The circuit is the only artifact hashed by content; the other
+            # call is the scheduling result's first execution at this key,
+            # whose unknown type falls back to the provenance key.
+            assert hashes == ["QuantumCircuit", "DistributedCompilationResult"]
+
+    def test_kmax_sweep_records_equal_fresh_memo_runs(self):
+        memo = LRUCache(maxsize=16)
+        for index, k_max in enumerate(self.K_MAX_SWEEP):
+            swept = self.sweep_point(k_max, memo)
+            fresh = self.sweep_point(k_max, LRUCache(maxsize=16))
+            assert stage_keys(swept) == stage_keys(fresh)
+            assert [record.status for record in fresh.records] == ["executed"] * 5
+            expected = ["executed"] * 5 if index == 0 else ["memory-hit"] * 4 + ["executed"]
+            assert [record.status for record in swept.records] == expected
+            assert swept.artifact.summary() == fresh.artifact.summary()
+
+    def test_over_cap_key_reexecutes_without_pickling(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", 16)
+        pipeline = fresh_pipeline()
+        first = pipeline.run(initial_program_state(qft()))
+        assert [record.status for record in first.records] == ["executed"] * 3
+        pickles = count_pickles(monkeypatch)
+        hashes = count_content_hashes(monkeypatch)
+        second = pipeline.run(initial_program_state(qft()))
+        assert [record.status for record in second.records] == ["executed"] * 3
+        assert pickles == []
+        assert hashes == ["QuantumCircuit"]
+        assert stage_keys(second) == stage_keys(first)
+
+    def test_over_cap_key_still_reaches_the_store(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(pipeline_module, "MEMO_MAX_ENTRY_BYTES", 16)
+        pipeline = fresh_pipeline(tmp_path)
+        first = pipeline.run(initial_program_state(qft()))
+        pipeline.store.clear()
+        second = pipeline.run(initial_program_state(qft()))
+        assert [record.status for record in second.records] == ["executed"] * 3
+        assert sorted(pipeline.store.keys()) == sorted(stage_keys(first).values())
