@@ -5,6 +5,11 @@ node per photon of the logical graph state and one edge per required fusion
 (i.e. per graph-state entanglement edge).  It also carries the real-time
 (X-only, signal-shifted) dependency graph and the measurement order, which
 are what the required-photon-lifetime metric and the grid mapper need.
+
+The fusion graph is a networkx ``Graph``; the dependency DAG is a flat-array
+:class:`~repro.mbqc.dependency.DependencyGraph` (labels plus per-edge
+``src``/``dst``/``kind`` arrays), which every compile stage reads directly.
+Its networkx form is only the on-demand ``dependency.graph`` view.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ class ComputationGraph:
 
     Attributes:
         graph: Undirected graph; nodes are photons, edges are fusions.
-        dependency: Real-time dependency DAG (X-dependencies only).
+        dependency: Real-time dependency DAG (X-dependencies only) in flat
+            array form; every node it mentions must be a node of ``graph``.
         order: Total order over nodes (measurement order); mappers place
             nodes in this order.
         output_nodes: Nodes carrying the logical output (never measured).
@@ -49,6 +55,9 @@ class ComputationGraph:
             raise CompilationError(f"order mentions unknown nodes: {missing[:5]}")
         if len(set(self.order)) != self.graph.number_of_nodes():
             raise CompilationError("order must list every node exactly once")
+        unknown = [node for node in self.dependency.labels.tolist() if node not in self.graph]
+        if unknown:
+            raise CompilationError(f"dependency DAG mentions unknown nodes: {unknown[:5]}")
 
     # ------------------------------------------------------------------ #
     # Basic views
@@ -108,14 +117,7 @@ class ComputationGraph:
         if unknown:
             raise CompilationError(f"unknown nodes in subgraph request: {sorted(unknown)[:5]}")
         sub_graph = self.graph.subgraph(node_set).copy()
-        # The subgraph view walks only the adjacency of the requested nodes
-        # (instead of scanning every dependency edge per part) and keeps the
-        # typed "kind" attributes as-is.
-        sub_dependency = DependencyGraph()
-        sub_dependency.graph.add_nodes_from(node_set)
-        sub_dependency.graph.add_edges_from(
-            self.dependency.graph.subgraph(node_set).edges(data=True)
-        )
+        sub_dependency = self.dependency.induced(node_set)
         sub_order = [node for node in self.order if node in node_set]
         return ComputationGraph(
             graph=sub_graph,
@@ -160,12 +162,7 @@ def computation_graph_from_pattern(
     graph = nx.Graph()
     graph.add_nodes_from(working.nodes)
     graph.add_edges_from(working.edges())
-    dependency = build_dependency_graph(working)
-    if not apply_signal_shifting:
-        dependency = dependency.x_only()
-    # After signal shifting every t-domain is empty, so the dependency graph
-    # contains X edges only and the x_only restriction would be an identical
-    # (but expensive) copy.
+    dependency = build_dependency_graph(working).x_only()
     order = measurement_order(working)
     return ComputationGraph(
         graph=graph,

@@ -176,7 +176,7 @@ class LayeredGridMapper:
                 layers.append(_LayerState(len(layers), size, spec.routing_uses))
             return layers[index]
 
-        dependency = computation.dependency.graph
+        parents_of = computation.dependency.parents_by_node()
 
         for node in computation.order:
             neighbors = computation.neighbors(node)
@@ -184,10 +184,9 @@ class LayeredGridMapper:
 
             # Earliest layer allowed by real-time measurement dependencies.
             min_layer = 0
-            if node in dependency:
-                for parent in dependency.predecessors(node):
-                    if parent in node_layer:
-                        min_layer = max(min_layer, node_layer[parent] + 1)
+            for parent in parents_of.get(node, ()):
+                if parent in node_layer:
+                    min_layer = max(min_layer, node_layer[parent] + 1)
 
             # Find the earliest feasible layer with a free cell.  Layers
             # before ``earliest_open`` are known to be full already.

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, Tuple, Union
+from typing import FrozenSet, Iterable, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "CommandKind",
@@ -35,6 +37,7 @@ __all__ = [
     "Command",
     "domain_mask",
     "mask_bits",
+    "decode_masks",
 ]
 
 DomainLike = Union[int, Iterable[int]]
@@ -69,14 +72,48 @@ def domain_mask(nodes: DomainLike) -> int:
     return mask
 
 
+#: Set bits :func:`mask_bits` peels one at a time before decoding the rest of
+#: the mask in one linear pass.  Each peel is a full-width big-int operation,
+#: so peeling every bit is quadratic in a dense mask; most masks of an
+#: unshifted pattern hold one or two bits, for which peeling is cheapest.
+_PEEL_LIMIT = 8
+
+
 def mask_bits(mask: int) -> Tuple[int, ...]:
-    """Decode a bitset into its node labels, in ascending order."""
+    """Decode a bitset into its node labels, in ascending order.
+
+    Linear in the width of the mask: after :data:`_PEEL_LIMIT` low bits the
+    remainder is decoded by :func:`decode_masks`.
+    """
     bits = []
-    while mask:
+    while mask and len(bits) < _PEEL_LIMIT:
         low = mask & -mask
         bits.append(low.bit_length() - 1)
         mask ^= low
+    if mask:
+        bits.extend(decode_masks([mask])[1].tolist())
     return tuple(bits)
+
+
+def decode_masks(masks: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode many bitsets in one linear pass over their bytes.
+
+    Returns two flat ``int64`` arrays ``(owner, bits)``: one entry per set bit
+    of every mask, in mask order and ascending within a mask; ``owner`` is
+    the index of the mask in ``masks`` and ``bits`` the bit position.
+    """
+    sizes = [(mask.bit_length() + 7) // 8 for mask in masks]
+    data = np.frombuffer(
+        b"".join(mask.to_bytes(size, "little") for mask, size in zip(masks, sizes)),
+        dtype=np.uint8,
+    )
+    starts = np.cumsum([0] + sizes, dtype=np.int64)
+    nonzero = np.flatnonzero(data)
+    byte_owner = np.searchsorted(starts, nonzero, side="right") - 1
+    within = np.flatnonzero(np.unpackbits(data[nonzero], bitorder="little"))
+    slot = within >> 3
+    owner = byte_owner[slot]
+    return owner, (nonzero[slot] - starts[owner]) * 8 + (within & 7)
 
 
 def _domain(nodes: DomainLike) -> FrozenSet[int]:

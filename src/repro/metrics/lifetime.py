@@ -95,18 +95,23 @@ def measuree_lifetime(
     feed-forward).  The required lifetime of ``u`` is ``MTime[u] -
     LayerIndex(u)``.
     """
-    graph = dependency_graph.graph if isinstance(dependency_graph, DependencyGraph) else dependency_graph
+    if isinstance(dependency_graph, DependencyGraph):
+        order = dependency_graph.topological_order()
+        parents_of = dependency_graph.parents_by_node().__getitem__
+    else:
+        order = nx.topological_sort(dependency_graph)
+        parents_of = dependency_graph.predecessors
     removed = removed_nodes or set()
     mtime: Dict[int, int] = {}
     worst = 0
     worst_node: Optional[int] = None
-    for node in nx.topological_sort(graph):
+    for node in order:
         if node not in layer_index:
             # Nodes outside the schedule (e.g. logical outputs that are
             # never physically generated) do not constrain storage.
             continue
         earliest = layer_index[node] + 1
-        for parent in graph.predecessors(node):
+        for parent in parents_of(node):
             if parent in mtime:
                 earliest = max(earliest, mtime[parent] + 1)
         mtime[node] = earliest

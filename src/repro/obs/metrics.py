@@ -398,16 +398,6 @@ class MetricsRegistry:
                     out[name[len(prefix):]] = value
             return out
 
-    def label_values(self, name: str, label: str) -> Tuple[str, ...]:
-        """Distinct values one label takes across a counter's series."""
-        with self._lock:
-            seen = []
-            for key in self._counters.get(name, {}):
-                for key_label, value in key:
-                    if key_label == label and value not in seen:
-                        seen.append(value)
-            return tuple(seen)
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Full registry dump: rendered series name → value/summary dict."""
         with self._lock:

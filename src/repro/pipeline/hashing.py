@@ -160,16 +160,12 @@ def pattern_hash(pattern: Pattern) -> str:
 
 
 def _computation_parts(computation: ComputationGraph) -> tuple:
-    dependency_edges = sorted(
-        (source, target, data["kind"])
-        for source, target, data in computation.dependency.graph.edges(data=True)
-    )
     return (
         "compgraph",
         computation.name,
         computation.nodes(),
         computation.edges(),
-        dependency_edges,
+        computation.dependency.sorted_edges(),
         list(computation.order),
         list(computation.output_nodes),
         sorted(computation.removed_nodes),

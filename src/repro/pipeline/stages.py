@@ -69,9 +69,22 @@ def translate_stage() -> Stage:
     )
 
 
+#: Version of every stage whose artifact pickles a
+#: :class:`~repro.mbqc.dependency.DependencyGraph`.  Version 2: the DAG is
+#: stored as flat arrays instead of a networkx ``DiGraph``, so persistent
+#: stores must not thaw artifacts of the old layout.
+DEPENDENCY_LAYOUT_VERSION = "2"
+
+
 def compgraph_stage() -> Stage:
     """pattern → computation graph (signal shifting + dependency DAG)."""
-    return Stage("compgraph", _compgraph, inputs=("pattern",), output="computation")
+    return Stage(
+        "compgraph",
+        _compgraph,
+        inputs=("pattern",),
+        output="computation",
+        version=DEPENDENCY_LAYOUT_VERSION,
+    )
 
 
 def grid_mapping_stage(
@@ -104,6 +117,7 @@ def grid_mapping_stage(
         _map,
         inputs=("computation",),
         output="schedule",
+        version=DEPENDENCY_LAYOUT_VERSION,
         params={
             "grid_size": grid_size,
             "rsg_type": rsg.value,
@@ -232,6 +246,7 @@ def distributed_stages(compiler) -> List[Stage]:
             inputs=("computation", "partition"),
             output="qpu_schedules",
             params=mapping_params,
+            version=DEPENDENCY_LAYOUT_VERSION,
         ),
         Stage(
             "scheduling",
@@ -239,5 +254,6 @@ def distributed_stages(compiler) -> List[Stage]:
             inputs=("computation", "partition", "qpu_schedules"),
             output="result",
             params=full_params,
+            version=DEPENDENCY_LAYOUT_VERSION,
         ),
     ]

@@ -357,12 +357,13 @@ class DistributedRuntime:
 
         # Measurees: wait for the classical signals of their parents.
         dependency = self.result.computation.dependency
+        parents_of = dependency.parents_by_node()
         mtime: Dict[int, int] = {}
         for node in dependency.topological_order():
             if node not in node_generated:
                 continue
             earliest = node_generated[node] + 1
-            for parent in dependency.parents(node):
+            for parent in parents_of[node]:
                 if parent in mtime:
                     earliest = max(earliest, mtime[parent] + 1)
             mtime[node] = earliest

@@ -50,6 +50,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.hardware.system import SystemModel, enumerate_routes
 from repro.obs.trace import TRACER
 from repro.scheduling.list_scheduler import list_schedule
@@ -228,15 +230,25 @@ class BDIRScheduler:
                 continue
             anchors[task_u].add(task_v)
             anchors[task_v].add(task_u)
-        if problem.dependency is not None:
-            graph = problem.dependency.graph
-            for source, target in graph.edges():
-                task_s = self._node_task.get(source)
-                task_t = self._node_task.get(target)
-                if task_s is None or task_t is None or task_s == task_t:
-                    continue
-                anchors[task_s].add(task_t)
-                anchors[task_t].add(task_s)
+        if problem.dependency is not None and problem.dependency.num_edges:
+            # Dependency anchors: the distinct (task, task) pairs the edges
+            # join, found on task ids instead of walking every edge.
+            dependency = problem.dependency
+            main_keys = list(anchors)
+            task_id = {key: i for i, key in enumerate(main_keys)}
+            node_task = self._node_task
+            node_id = np.fromiter(
+                (task_id.get(node_task.get(label), -1) for label in dependency.labels.tolist()),
+                dtype=np.int64,
+                count=len(dependency),
+            )
+            task_s, task_t = node_id[dependency.src], node_id[dependency.dst]
+            keep = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
+            pairs = np.unique(task_s[keep] * len(main_keys) + task_t[keep])
+            first, second = np.divmod(pairs, len(main_keys))
+            for a, b in zip(first.tolist(), second.tolist()):
+                anchors[main_keys[a]].add(main_keys[b])
+                anchors[main_keys[b]].add(main_keys[a])
         for key, sync_keys in syncs_of_main.items():
             anchors[key].update(sync_keys)
         self._main_anchors = anchors

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.mbqc.dependency import DependencyGraph
+from repro.mbqc.dependency import DependencyGraph, csr, csr_rows, topological_generations
 from repro.metrics.lifetime import LifetimeReport
 from repro.obs.trace import TRACER
 from repro.utils.counters import OP_COUNTERS
@@ -694,36 +694,43 @@ class _EvaluationKernel:
         self.edge_src = np.array([], dtype=np.int64)
         self.edge_dst = np.array([], dtype=np.int64)
         if problem.dependency is not None:
-            import networkx as nx
+            dependency = problem.dependency
+            position = np.fromiter(
+                (node_pos.get(label, -1) for label in dependency.labels.tolist()),
+                dtype=np.int64,
+                count=len(dependency),
+            )
+            order = dependency.topological_indices()
+            present = order[position[order] >= 0]
+            self.present_nodes = dependency.labels[present].tolist()
+            self.present_pos = position[present]
+            self.present_removed = np.array(
+                [n in removed for n in self.present_nodes], dtype=bool
+            )
+            present_index = np.full(len(dependency), -1, dtype=np.int64)
+            present_index[present] = np.arange(len(present))
 
-            graph = problem.dependency.graph
-            topo = [n for n in nx.topological_sort(graph) if n in node_pos]
-            self.present_nodes = topo
-            present_index = {node: i for i, node in enumerate(topo)}
-            self.present_pos = np.array([node_pos[n] for n in topo], dtype=np.int64)
-            self.present_removed = np.array([n in removed for n in topo], dtype=bool)
-
-            level = [0] * len(topo)
-            edges: List[Tuple[int, int]] = []  # (src, dst) in present indices
-            for node in topo:
-                dst = present_index[node]
-                for parent in graph.predecessors(node):
-                    src = present_index.get(parent)
-                    if src is not None:
-                        edges.append((src, dst))
-                        level[dst] = max(level[dst], level[src] + 1)
-            # Flat edge arrays (src < dst in present indices) kept for the
-            # delta evaluator's pred/succ cone propagation.
-            self.edge_src = np.array([s for s, _ in edges], dtype=np.int64)
-            self.edge_dst = np.array([d for _, d in edges], dtype=np.int64)
-            by_level: Dict[int, List[Tuple[int, int]]] = {}
-            for src, dst in edges:
-                by_level.setdefault(level[dst], []).append((src, dst))
-            for lvl in sorted(by_level):
-                # Sort by target so per-target maxima reduce with reduceat.
-                batch = sorted(by_level[lvl], key=lambda e: e[1])
-                src_arr = np.array([s for s, _ in batch], dtype=np.int64)
-                dst_arr = np.array([d for _, d in batch], dtype=np.int64)
+            # Flat edge arrays (src < dst in present indices), grouped by
+            # target in topological order, each target's parents in edge
+            # order; kept for the delta evaluator's pred/succ cone
+            # propagation.
+            src = present_index[dependency.src]
+            dst = present_index[dependency.dst]
+            keep = (src >= 0) & (dst >= 0)
+            by_target = np.argsort(dst[keep], kind="stable")
+            self.edge_src = src[keep][by_target]
+            self.edge_dst = dst[keep][by_target]
+            _, level = topological_generations(len(present), self.edge_src, self.edge_dst)
+            # Level batches, each sorted by target so per-target maxima
+            # reduce with reduceat.
+            edge_level = level[self.edge_dst]
+            by_level = np.argsort(edge_level, kind="stable")
+            batch_src = self.edge_src[by_level]
+            batch_dst = self.edge_dst[by_level]
+            cuts = np.flatnonzero(np.diff(edge_level[by_level])) + 1
+            for src_arr, dst_arr in zip(np.split(batch_src, cuts), np.split(batch_dst, cuts)):
+                if not len(src_arr):
+                    continue
                 starts = np.flatnonzero(np.r_[True, dst_arr[1:] != dst_arr[:-1]])
                 self.measuree_levels.append((src_arr, dst_arr[starts], starts))
         self.num_measuree_edges = sum(
@@ -956,20 +963,20 @@ class _DeltaEvaluator:
             raise SchedulingError("sync tasks are not contiguous in the task table")
 
         # CSR: task index -> node positions it generates.
-        self.task_node_ptr, self.task_node_val = _csr(
+        self.task_node_ptr, self.task_node_val = csr(
             kernel.node_task, np.arange(node_count, dtype=np.int64), num_tasks
         )
         # CSR: node position -> fusee pair ids it participates in.
         pair_count = len(kernel.fusee_u)
         endpoints = np.concatenate([kernel.fusee_u, kernel.fusee_v])
         pair_ids = np.concatenate([np.arange(pair_count, dtype=np.int64)] * 2) if pair_count else np.array([], dtype=np.int64)
-        self.node_pair_ptr, self.node_pair_val = _csr(endpoints, pair_ids, node_count)
+        self.node_pair_ptr, self.node_pair_val = csr(endpoints, pair_ids, node_count)
         # CSR: task index -> sync positions it anchors (the sync itself plus
         # both associated mains).
         sync_count = len(kernel.sync_idx)
         owners = np.concatenate([kernel.sync_idx, kernel.sync_main_a, kernel.sync_main_b])
         sync_positions = np.concatenate([np.arange(sync_count, dtype=np.int64)] * 3) if sync_count else np.array([], dtype=np.int64)
-        self.task_sync_ptr, self.task_sync_val = _csr(owners, sync_positions, num_tasks)
+        self.task_sync_ptr, self.task_sync_val = csr(owners, sync_positions, num_tasks)
         # Node position -> present (topological) index, -1 when absent.
         self.present_count = len(kernel.present_pos)
         self.present_of_pos = np.full(node_count, -1, dtype=np.int64)
@@ -978,10 +985,10 @@ class _DeltaEvaluator:
                 self.present_count, dtype=np.int64
             )
         # Pred/succ CSR over present indices (edges run forward: src < dst).
-        self.pred_ptr, self.pred_val = _csr(
+        self.pred_ptr, self.pred_val = csr(
             kernel.edge_dst, kernel.edge_src, self.present_count
         )
-        self.succ_ptr, self.succ_val = _csr(
+        self.succ_ptr, self.succ_val = csr(
             kernel.edge_src, kernel.edge_dst, self.present_count
         )
         self._primed = False
@@ -1101,7 +1108,7 @@ class _DeltaEvaluator:
             self.relay[relay_changed] = kernel.sync_relay[relay_changed]
 
         changed_mains = changed[changed < self.num_mains]
-        positions = _gather(self.task_node_ptr, self.task_node_val, changed_mains)
+        positions = csr_rows(self.task_node_ptr, self.task_node_val, changed_mains)
         if len(positions):
             undo.append(("node_start", positions, self.node_start[positions].copy()))
             self.node_start[positions] = self.starts[kernel.node_task[positions]]
@@ -1109,7 +1116,7 @@ class _DeltaEvaluator:
         # Fusee waits of pairs touching any moved node.
         pairs = np.array([], dtype=np.int64)
         if self.t_fusee is not None and len(positions):
-            pairs = np.unique(_gather(self.node_pair_ptr, self.node_pair_val, positions))
+            pairs = np.unique(csr_rows(self.node_pair_ptr, self.node_pair_val, positions))
 
         # Measuree cone: seed the moved nodes, re-relax MTime in topological
         # order, stop where the propagated value saturates.
@@ -1159,7 +1166,7 @@ class _DeltaEvaluator:
         OP_COUNTERS.add("evaluate.delta_cone_nodes", cone)
 
         # Sync gaps of syncs anchored to any changed task (or re-routed).
-        sync_positions = _gather(self.task_sync_ptr, self.task_sync_val, changed)
+        sync_positions = csr_rows(self.task_sync_ptr, self.task_sync_val, changed)
         if len(relay_changed):
             sync_positions = np.concatenate([sync_positions, relay_changed])
         sync_positions = np.unique(sync_positions)
@@ -1260,21 +1267,3 @@ class _DeltaEvaluator:
             worst_sync=worst_sync,
             worst_gap=worst_gap,
         )
-
-
-def _csr(keys: np.ndarray, values: np.ndarray, domain: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Group ``values`` by integer ``keys`` into (indptr, flat values)."""
-    if not len(keys):
-        return np.zeros(domain + 1, dtype=np.int64), np.array([], dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
-    counts = np.bincount(keys, minlength=domain)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-    return indptr.astype(np.int64), values[order].astype(np.int64)
-
-
-def _gather(indptr: np.ndarray, flat: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Concatenate the CSR rows of a batch of keys."""
-    if not len(keys):
-        return np.array([], dtype=np.int64)
-    parts = [flat[indptr[key] : indptr[key + 1]] for key in keys]
-    return np.concatenate(parts) if parts else np.array([], dtype=np.int64)

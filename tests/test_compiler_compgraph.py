@@ -47,6 +47,13 @@ class TestValidation:
         with pytest.raises(CompilationError):
             ComputationGraph(graph, DependencyGraph(), order=[0, 1, 2, 99])
 
+    def test_dependency_must_not_mention_unknown_nodes(self):
+        graph = nx.path_graph(3)
+        dependency = DependencyGraph()
+        dependency.add_dependency(0, 99, "X")
+        with pytest.raises(CompilationError, match="dependency"):
+            ComputationGraph(graph, dependency, order=[0, 1, 2])
+
 
 class TestSubgraphAndCuts:
     def test_induced_subgraph_structure(self, small_computation):

@@ -1,6 +1,8 @@
 """Tests for measurement-calculus commands."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.mbqc.commands import (
     CommandKind,
@@ -8,7 +10,41 @@ from repro.mbqc.commands import (
     EntangleCommand,
     MeasureCommand,
     PrepareCommand,
+    decode_masks,
+    domain_mask,
+    mask_bits,
 )
+
+
+def _reference_mask_bits(mask):
+    """Peel the lowest set bit until none is left (quadratic, but obvious)."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
+_DOMAINS = st.sets(st.integers(0, 5000), max_size=200)
+
+
+class TestMaskDecoding:
+    @given(_DOMAINS)
+    def test_mask_bits_matches_reference(self, nodes):
+        mask = domain_mask(nodes)
+        assert mask_bits(mask) == _reference_mask_bits(mask)
+
+    @given(st.lists(_DOMAINS, max_size=6))
+    def test_decode_masks_matches_reference(self, domains):
+        masks = [domain_mask(nodes) for nodes in domains]
+        owner, bits = decode_masks(masks)
+        expected = [(i, b) for i, m in enumerate(masks) for b in _reference_mask_bits(m)]
+        assert list(zip(owner.tolist(), bits.tolist())) == expected
+
+    def test_mask_bits_of_dense_mask(self):
+        assert mask_bits((1 << 300) - 1) == tuple(range(300))
+        assert mask_bits(0) == ()
 
 
 class TestPrepare:

@@ -12,6 +12,7 @@ from repro.mbqc.dependency import (
 )
 from repro.mbqc.pattern import Pattern
 from repro.mbqc.signal_shift import signal_shift
+from repro.utils.errors import ValidationError
 
 
 class TestIsPauliAngle:
@@ -95,6 +96,23 @@ class TestBuildDependencyGraph:
         pattern.measure(1, 0.0, s_domain=[0])
         dag = build_dependency_graph(pattern, drop_pauli_dependencies=False)
         assert dag.graph.has_edge(0, 1)
+
+    def test_unknown_domain_node_rejected(self):
+        pattern = Pattern(input_nodes=[0, 1], output_nodes=[1])
+        pattern.measure(0, 0.3, s_domain=[7])
+        with pytest.raises(ValidationError):
+            build_dependency_graph(pattern)
+
+    def test_backward_dependency_rejected_only_when_cyclic(self):
+        pattern = Pattern(input_nodes=[0, 1, 2], output_nodes=[2])
+        pattern.measure(0, 0.3, s_domain=[1])  # 1 is measured later
+        pattern.measure(1, 0.3)
+        assert build_dependency_graph(pattern).parents(0) == [1]
+        cyclic = Pattern(input_nodes=[0, 1], output_nodes=[])
+        cyclic.measure(0, 0.3, s_domain=[1])
+        cyclic.measure(1, 0.3, s_domain=[0])
+        with pytest.raises(ValidationError):
+            build_dependency_graph(cyclic)
 
     def test_acyclic_for_translated_circuits(self, small_pattern):
         dag = build_dependency_graph(small_pattern)

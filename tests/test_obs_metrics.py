@@ -83,13 +83,6 @@ class TestMetricsRegistry:
         assert registry.counters_with_prefix("ops.") == {"a": 1, "b": 2}
         assert list(registry.counters_with_prefix("ops.")) == ["a", "b"]
 
-    def test_label_values_insertion_order(self):
-        registry = MetricsRegistry()
-        registry.inc("n", stage="z")
-        registry.inc("n", stage="a")
-        registry.inc("n", stage="z")
-        assert registry.label_values("n", "stage") == ("z", "a")
-
     def test_reset_by_prefix_is_scoped(self):
         registry = MetricsRegistry()
         registry.inc("ops.a")
