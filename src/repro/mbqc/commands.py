@@ -72,26 +72,13 @@ def domain_mask(nodes: DomainLike) -> int:
     return mask
 
 
-#: Set bits :func:`mask_bits` peels one at a time before decoding the rest of
-#: the mask in one linear pass.  Each peel is a full-width big-int operation,
-#: so peeling every bit is quadratic in a dense mask; most masks of an
-#: unshifted pattern hold one or two bits, for which peeling is cheapest.
-_PEEL_LIMIT = 8
-
-
 def mask_bits(mask: int) -> Tuple[int, ...]:
-    """Decode a bitset into its node labels, in ascending order.
-
-    Linear in the width of the mask: after :data:`_PEEL_LIMIT` low bits the
-    remainder is decoded by :func:`decode_masks`.
-    """
+    """Decode a bitset into its node labels, in ascending order."""
     bits = []
-    while mask and len(bits) < _PEEL_LIMIT:
+    while mask:
         low = mask & -mask
         bits.append(low.bit_length() - 1)
         mask ^= low
-    if mask:
-        bits.extend(decode_masks([mask])[1].tolist())
     return tuple(bits)
 
 

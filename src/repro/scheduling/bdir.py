@@ -231,24 +231,19 @@ class BDIRScheduler:
             anchors[task_u].add(task_v)
             anchors[task_v].add(task_u)
         if problem.dependency is not None and problem.dependency.num_edges:
-            # Dependency anchors: the distinct (task, task) pairs the edges
-            # join, found on task ids instead of walking every edge.
-            dependency = problem.dependency
-            main_keys = list(anchors)
-            task_id = {key: i for i, key in enumerate(main_keys)}
-            node_task = self._node_task
-            node_id = np.fromiter(
-                (task_id.get(node_task.get(label), -1) for label in dependency.labels.tolist()),
-                dtype=np.int64,
-                count=len(dependency),
-            )
-            task_s, task_t = node_id[dependency.src], node_id[dependency.dst]
-            keep = (task_s >= 0) & (task_t >= 0) & (task_s != task_t)
-            pairs = np.unique(task_s[keep] * len(main_keys) + task_t[keep])
-            first, second = np.divmod(pairs, len(main_keys))
+            # Dependency anchors: the distinct (task, task) pairs the
+            # kernel's scheduled dependency edges join.  Kernel task indices
+            # below ``num_mains`` are the main tasks in (qpu, index) order.
+            kernel = problem._kernel()
+            task_s = kernel.node_task[kernel.present_pos[kernel.edge_src]]
+            task_t = kernel.node_task[kernel.present_pos[kernel.edge_dst]]
+            keep = task_s != task_t
+            pairs = np.unique(task_s[keep] * kernel.num_mains + task_t[keep])
+            first, second = np.divmod(pairs, kernel.num_mains)
+            keys = kernel.task_keys
             for a, b in zip(first.tolist(), second.tolist()):
-                anchors[main_keys[a]].add(main_keys[b])
-                anchors[main_keys[b]].add(main_keys[a])
+                anchors[keys[a]].add(keys[b])
+                anchors[keys[b]].add(keys[a])
         for key, sync_keys in syncs_of_main.items():
             anchors[key].update(sync_keys)
         self._main_anchors = anchors

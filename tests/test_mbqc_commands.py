@@ -16,35 +16,27 @@ from repro.mbqc.commands import (
 )
 
 
-def _reference_mask_bits(mask):
-    """Peel the lowest set bit until none is left (quadratic, but obvious)."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
-
-
 _DOMAINS = st.sets(st.integers(0, 5000), max_size=200)
 
 
 class TestMaskDecoding:
     @given(_DOMAINS)
     def test_mask_bits_matches_reference(self, nodes):
-        mask = domain_mask(nodes)
-        assert mask_bits(mask) == _reference_mask_bits(mask)
+        assert mask_bits(domain_mask(nodes)) == tuple(sorted(nodes))
 
     @given(st.lists(_DOMAINS, max_size=6))
     def test_decode_masks_matches_reference(self, domains):
         masks = [domain_mask(nodes) for nodes in domains]
         owner, bits = decode_masks(masks)
-        expected = [(i, b) for i, m in enumerate(masks) for b in _reference_mask_bits(m)]
+        expected = [(i, b) for i, m in enumerate(masks) for b in mask_bits(m)]
         assert list(zip(owner.tolist(), bits.tolist())) == expected
 
     def test_mask_bits_of_dense_mask(self):
         assert mask_bits((1 << 300) - 1) == tuple(range(300))
         assert mask_bits(0) == ()
+        owner, bits = decode_masks([(1 << 300) - 1, 0, 1 << 4999])
+        assert owner.tolist() == [0] * 300 + [2]
+        assert bits.tolist() == list(range(300)) + [4999]
 
 
 class TestPrepare:
